@@ -1,15 +1,17 @@
 // E11 (thesis §5.1.3): the run-time environment question — what does the
 // native (binary) filter environment cost per packet? Google-benchmark
 // microbenchmarks of the proxy's hot paths: packet construction, checksum
-// work, the in/out filter queues, TTSF transformation, and the raw
-// simulator event loop.
+// work, metric primitives, compression, and the raw simulator event loop.
+// The filter-queue cost itself is perfbench's sp.filter_queue_ns.{0,1,2,4},
+// timed on a pre-built packet so construction does not count.
 #include <benchmark/benchmark.h>
 
-#include "src/filters/standard_set.h"
+#include <cstring>
+
 #include "src/net/checksum.h"
+#include "src/net/packet.h"
 #include "src/obs/metric_registry.h"
-#include "src/proxy/service_proxy.h"
-#include "src/core/scenario.h"
+#include "src/sim/simulator.h"
 #include "src/util/compress.h"
 
 namespace {
@@ -53,39 +55,11 @@ void BM_UpdateChecksums(benchmark::State& state) {
 }
 BENCHMARK(BM_UpdateChecksums);
 
-// The per-packet cost of the proxy with N filters attached to the stream.
-void BM_FilterQueue(benchmark::State& state) {
-  core::ScenarioConfig cfg;
-  cfg.wireless.loss_probability = 0.0;
-  core::WirelessScenario scenario(cfg);
-  proxy::ServiceProxy sp(&scenario.gateway(), filters::StandardRegistry());
-  proxy::StreamKey key{scenario.wired_addr(), 7, scenario.mobile_addr(), 1169};
-  std::string error;
-  const int n_filters = static_cast<int>(state.range(0));
-  if (n_filters >= 1) {
-    sp.AddService("tcp", key, {}, &error);
-  }
-  if (n_filters >= 2) {
-    sp.AddService("meter", key, {}, &error);
-  }
-  if (n_filters >= 3) {
-    sp.AddService("wsize", key, {"clamp", "8192"}, &error);
-  }
-  if (n_filters >= 4) {
-    sp.AddService("rdrop", key, {"0"}, &error);
-  }
-  net::TapContext ctx{&scenario.gateway(), 0};
-  for (auto _ : state) {
-    net::PacketPtr p = MakeSegment(1000);
-    benchmark::DoNotOptimize(sp.OnPacket(p, ctx));
-  }
-}
-BENCHMARK(BM_FilterQueue)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4);
-
 // The observability substrate's hot-path primitives (docs/observability.md).
-// BM_FilterQueue above already includes the per-filter telemetry cost — the
-// registry is always on — these isolate the primitives themselves so a
-// regression is attributable.
+// perfbench's sp.filter_queue_ns.{0,1,2,4} (the per-packet filter-queue cost,
+// E11) already includes the per-filter telemetry cost — the registry is
+// always on — these isolate the primitives themselves so a regression is
+// attributable.
 void BM_MetricCounterInc(benchmark::State& state) {
   obs::MetricRegistry reg;
   obs::Counter* c = reg.GetCounter("bench.counter");

@@ -1,15 +1,34 @@
 #include "src/net/checksum.h"
 
+#include <bit>
+
+#include "src/util/bytes.h"
+
 namespace comma::net {
 
 void ChecksumAccumulator::Add(const uint8_t* data, size_t len) {
+  // RFC 1071 §2(B): the one's-complement sum does not depend on byte order,
+  // so sum host-order 32-bit words, fold to 16 bits, and swap once.
+  uint64_t sum = 0;
   size_t i = 0;
-  for (; i + 1 < len; i += 2) {
-    sum_ += static_cast<uint16_t>(static_cast<uint16_t>(data[i]) << 8 | data[i + 1]);
+  for (; i + 4 <= len; i += 4) {
+    sum += util::LoadHost32(data + i);
   }
   if (i < len) {
-    sum_ += static_cast<uint16_t>(static_cast<uint16_t>(data[i]) << 8);
+    // The last 1-3 bytes, zero-padded as the odd-length rule requires.
+    uint8_t tail[4] = {0, 0, 0, 0};
+    for (size_t j = 0; i + j < len; ++j) {
+      tail[j] = data[i + j];
+    }
+    sum += util::LoadHost32(tail);
   }
+  while (sum >> 16) {
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    sum = (sum >> 8) | ((sum & 0xff) << 8);
+  }
+  sum_ += sum;
 }
 
 void ChecksumAccumulator::AddU16(uint16_t v) { sum_ += v; }

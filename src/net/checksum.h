@@ -1,4 +1,8 @@
 // The Internet checksum (RFC 1071), used by the IP, TCP, and UDP headers.
+//
+// Packet checksums are summed in place: header fields go in through
+// AddU16/AddU32 in wire order and the payload through Add on its own
+// buffer, so no wire image is built just to be checksummed.
 #ifndef COMMA_NET_CHECKSUM_H_
 #define COMMA_NET_CHECKSUM_H_
 
@@ -8,12 +12,15 @@
 namespace comma::net {
 
 // Accumulates 16-bit one's-complement sums over possibly discontiguous
-// regions (header, pseudo-header, payload).
+// regions (header fields, pseudo-header, payload).
 class ChecksumAccumulator {
  public:
-  // Adds a byte region. An odd-length region is padded with a zero byte, so
-  // callers must add odd-length regions last or pad explicitly.
+  // Adds a byte region, read as big-endian 16-bit words from any alignment.
+  // The region must start at an even offset of the summed stream. An
+  // odd-length region is padded with a zero byte, so callers must add
+  // odd-length regions last or pad explicitly.
   void Add(const uint8_t* data, size_t len);
+  // Adds one header field, as if its big-endian wire bytes were passed to Add.
   void AddU16(uint16_t v);
   void AddU32(uint32_t v);
 

@@ -1,13 +1,12 @@
 #include "src/net/packet.h"
 
 #include "src/net/checksum.h"
+#include "src/sim/simulator.h"
 #include "src/util/strings.h"
 
 namespace comma::net {
 
-uint64_t Packet::next_uid_ = 1;
-
-Packet::Packet() : uid_(next_uid_++) {}
+Packet::Packet() : uid_(sim::NextUid()) {}
 
 PacketPtr Packet::MakeTcp(Ipv4Address src, Ipv4Address dst, const TcpHeader& tcp,
                           util::Bytes payload) {
@@ -106,13 +105,17 @@ void SerializeIpHeader(const Ipv4Header& h, size_t total_len, util::ByteWriter& 
   w.WriteU32(h.dst.value());
 }
 
+// Sums the header words SerializeIpHeader writes, checksum field as zero.
 uint16_t IpHeaderChecksum(const Ipv4Header& h, size_t total_len) {
-  util::Bytes buf;
-  util::ByteWriter w(&buf);
-  Ipv4Header copy = h;
-  copy.checksum = 0;
-  SerializeIpHeader(copy, total_len, w);
-  return InternetChecksum(buf.data(), buf.size());
+  ChecksumAccumulator acc;
+  acc.AddU16(static_cast<uint16_t>((4 << 4 | 5) << 8 | h.tos));
+  acc.AddU16(static_cast<uint16_t>(total_len));
+  acc.AddU16(h.id);
+  acc.AddU16(0x4000);
+  acc.AddU16(static_cast<uint16_t>(h.ttl << 8 | h.protocol));
+  acc.AddU32(h.src.value());
+  acc.AddU32(h.dst.value());
+  return acc.Finish();
 }
 
 }  // namespace
@@ -135,25 +138,30 @@ util::Bytes Packet::Serialize() const {
 }
 
 uint16_t Packet::TransportChecksum() const {
-  // TCP/UDP pseudo-header: src, dst, zero, protocol, transport length.
+  // TCP/UDP pseudo-header (src, dst, zero, protocol, transport length), the
+  // header words SerializeTcpHeader/SerializeUdpHeader write with the
+  // checksum field as zero, then the payload where it lies.
   ChecksumAccumulator acc;
   acc.AddU32(ip_.src.value());
   acc.AddU32(ip_.dst.value());
   acc.AddU16(ip_.protocol);
-  util::Bytes seg;
-  util::ByteWriter w(&seg);
   if (has_tcp()) {
-    TcpHeader copy = tcp_;
-    copy.checksum = 0;
-    SerializeTcpHeader(copy, payload_.size(), w);
+    acc.AddU16(static_cast<uint16_t>(kTcpHeaderSize + payload_.size()));
+    acc.AddU16(tcp_.src_port);
+    acc.AddU16(tcp_.dst_port);
+    acc.AddU32(tcp_.seq);
+    acc.AddU32(tcp_.ack);
+    acc.AddU16(static_cast<uint16_t>(5 << 12 | tcp_.flags));  // Data offset 5 words.
+    acc.AddU16(tcp_.window);
+    acc.AddU16(tcp_.urgent);
   } else {
-    UdpHeader copy = udp_;
-    copy.checksum = 0;
-    SerializeUdpHeader(copy, kUdpHeaderSize + payload_.size(), w);
+    const auto datagram_len = static_cast<uint16_t>(kUdpHeaderSize + payload_.size());
+    acc.AddU16(datagram_len);
+    acc.AddU16(udp_.src_port);
+    acc.AddU16(udp_.dst_port);
+    acc.AddU16(datagram_len);
   }
-  w.WriteBytes(payload_);
-  acc.AddU16(static_cast<uint16_t>(seg.size()));
-  acc.Add(seg.data(), seg.size());
+  acc.Add(payload_.data(), payload_.size());
   return acc.Finish();
 }
 

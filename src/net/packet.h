@@ -3,7 +3,10 @@
 //
 // Packets carry structured headers for convenient filter access, but
 // Serialize() produces real wire bytes and the checksum fields hold real
-// Internet checksums over those bytes. The thesis's `tcp` filter exists to
+// Internet checksums over those bytes. The checksums are summed in place,
+// from the header fields in wire order and the payload buffer, without
+// building the wire image; tests/net/packet_test.cc holds them equal to the
+// sums over Serialize()'s bytes. The thesis's `tcp` filter exists to
 // recompute checksums after other filters mutate a packet; that contract is
 // honoured here: mutating a header or payload leaves checksums stale until
 // UpdateChecksums() runs.
@@ -125,7 +128,10 @@ class Packet {
 
   PacketPtr Clone() const;
 
-  // Unique id assigned at construction, preserved by Clone(), for tracing.
+  // Id assigned at construction (sim::NextUid: the creating region's
+  // counter, so the same at every worker count), preserved by Clone(). Unique
+  // among the packets of one simulation run; TTSF keys pending transforms
+  // by it.
   uint64_t uid() const { return uid_; }
 
   // One-line human-readable description, e.g.
@@ -134,8 +140,6 @@ class Packet {
 
  private:
   uint16_t TransportChecksum() const;
-
-  static uint64_t next_uid_;
 
   uint64_t uid_;
   Ipv4Header ip_;

@@ -62,6 +62,7 @@ void EventShard::Clear() {
   now_ = 0;
   next_seq_ = 0;
   next_timer_counter_ = 1;
+  next_uid_counter_ = 1;
   events_run_ = 0;
 }
 

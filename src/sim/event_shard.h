@@ -64,6 +64,9 @@ class EventShard {
   bool ErasePendingTimer(uint32_t counter);
   bool IsTimerPending(uint32_t counter) const;
 
+  // Shard-local counter behind the uids NextUid() issues in this region.
+  uint64_t NextUidCounter() { return next_uid_counter_++; }
+
   size_t QueueSize() const { return queue_.size(); }
   uint64_t events_run() const { return events_run_; }
 
@@ -85,6 +88,7 @@ class EventShard {
   TimePoint now_ = 0;
   uint64_t next_seq_ = 0;
   uint32_t next_timer_counter_ = 1;
+  uint64_t next_uid_counter_ = 1;
   uint64_t events_run_ = 0;
   std::priority_queue<std::unique_ptr<Event>, std::vector<std::unique_ptr<Event>>, EventLater>
       queue_;

@@ -22,6 +22,10 @@ struct ExecContext {
 };
 thread_local ExecContext tl_exec;
 
+// NextUid()'s counter for the kSetupUidRegion space: ids drawn outside any
+// event on this thread.
+thread_local uint64_t tl_setup_uid_counter = 1;
+
 constexpr TimePoint SaturatingAdd(TimePoint a, Duration b) {
   return a > kNoEvent - b ? kNoEvent : a + b;
 }
@@ -33,6 +37,18 @@ std::string FormatTime(TimePoint t) {
   std::snprintf(buf, sizeof(buf), "%lld.%06llds", static_cast<long long>(t / kSecond),
                 static_cast<long long>(t % kSecond));
   return buf;
+}
+
+uint64_t NextUid() {
+  if (tl_exec.shard != nullptr) {
+    return uint64_t{tl_exec.shard->region()} << 48 | tl_exec.shard->NextUidCounter();
+  }
+  return uint64_t{kSetupUidRegion} << 48 | tl_setup_uid_counter++;
+}
+
+Simulator::Simulator(const SimulatorOptions& options) : options_(options) {
+  AddShard("main");
+  tl_setup_uid_counter = 1;
 }
 
 void Simulator::AddShard(const std::string& name) {
@@ -365,6 +381,7 @@ void Simulator::Reset() {
   barrier_wait_us_ = 0;
   critical_path_events_ = 0;
   ++generation_;
+  tl_setup_uid_counter = 1;
 }
 
 size_t Simulator::QueueSize() const {

@@ -58,10 +58,20 @@ namespace comma::sim {
 using TimerId = uint64_t;
 inline constexpr TimerId kInvalidTimerId = 0;
 
+// Draws a uid for an object the calling context creates (net::Packet).
+// Layout: [region:16][counter:48]. Inside an event the executing region's
+// shard counts, so uids never race between workers and are the same at
+// every worker count. Outside any event (setup, tests between runs) they
+// come from the reserved region kSetupUidRegion, counted per thread. Each
+// Simulator construction and Reset() rewinds both spaces; ids from before
+// a rewind may recur after it.
+inline constexpr RegionId kSetupUidRegion = 0xffff;
+uint64_t NextUid();
+
 class Simulator {
  public:
-  Simulator() { AddShard("main"); }
-  explicit Simulator(const SimulatorOptions& options) : options_(options) { AddShard("main"); }
+  Simulator() : Simulator(SimulatorOptions{}) {}
+  explicit Simulator(const SimulatorOptions& options);
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 

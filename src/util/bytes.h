@@ -44,6 +44,15 @@ inline void AppendTo(std::string* out, const Bytes& b) {
   }
 }
 
+// Loads four bytes at `p` (any alignment) as a host-order word. Only for
+// byte-order-independent arithmetic such as the Internet checksum's
+// word-at-a-time sum; wire fields go through ByteReader.
+inline uint32_t LoadHost32(const uint8_t* p) {
+  uint32_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
 class ByteWriter {
  public:
   explicit ByteWriter(Bytes* out) : out_(out) {}

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace comma::monitor {
 namespace {
 
@@ -43,6 +45,16 @@ struct RangeCase {
   int64_t value;
   bool expected;
 };
+
+// Names each case by its fields. Without this gtest prints the struct's raw
+// bytes, padding included, and gtest_discover_tests turns that into ctest
+// names that change from build to build.
+void PrintTo(const RangeCase& c, std::ostream* os) {
+  static constexpr const char* kOpNames[] = {"any", "gt",  "gte", "lt", "lte",
+                                             "eq",  "neq", "in",  "out"};
+  *os << kOpNames[static_cast<size_t>(c.op)] << " lo=" << c.lo << " hi=" << c.hi
+      << " value=" << c.value << " expect=" << (c.expected ? "true" : "false");
+}
 
 class InRangeTest : public ::testing::TestWithParam<RangeCase> {};
 

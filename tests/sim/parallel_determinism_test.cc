@@ -7,6 +7,9 @@
 // can select them under TSan (ctest -R '^Par').
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "src/core/chaos.h"
 #include "src/core/comma_system.h"
 #include "src/core/multi_gateway.h"
@@ -187,6 +190,60 @@ TEST(ParallelMultiGatewayTest, CleanRunWitnessIsWorkerCountInvariant) {
   testing::ExpectDeterministicAcrossWorkerCounts(
       "multi-gateway seed 3 (no faults)",
       [](int workers) { return MultiGatewayRun(3, workers, false); });
+}
+
+// Hashes, in arrival order, the uid of every packet one node's taps see.
+// One tap per node: nodes in different regions run on different workers.
+class UidHashTap : public net::PacketTap {
+ public:
+  net::TapVerdict OnPacket(net::PacketPtr& packet, const net::TapContext& /*ctx*/) override {
+    hash_ = (hash_ ^ packet->uid()) * 0x100000001b3ULL;  // FNV-1a over uids.
+    ++packets_;
+    regions_.insert(packet->uid() >> 48);
+    return net::TapVerdict::kPass;
+  }
+  uint64_t hash() const { return hash_; }
+  uint64_t packets() const { return packets_; }
+  // The regions whose shards drew the uids seen.
+  const std::set<uint64_t>& regions() const { return regions_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+  uint64_t packets_ = 0;
+  std::set<uint64_t> regions_;
+};
+
+// The multi-gateway run with a uid-hashing tap on the backbone router and
+// on every gateway; the witness is one line per tap.
+std::string MultiGatewayUidRun(uint64_t seed, int workers) {
+  core::MultiGatewayConfig cfg;
+  cfg.seed = seed;
+  cfg.sim.num_workers = workers;
+  cfg.with_flaps = true;
+  std::vector<UidHashTap> taps(static_cast<size_t>(1 + cfg.clusters));
+  core::MultiGatewayScenario scenario(cfg);
+  scenario.backbone_router().AddTap(&taps[0]);
+  for (int k = 0; k < cfg.clusters; ++k) {
+    scenario.gateway(k).AddTap(&taps[static_cast<size_t>(k) + 1]);
+  }
+  scenario.StartTraffic();
+  scenario.sim().RunFor(120 * sim::kSecond);
+  EXPECT_TRUE(scenario.AllCompleted()) << "seed " << seed << " workers " << workers;
+  // Cross-cluster traffic crosses the backbone, so its tap sees uids drawn
+  // in more than one cluster region.
+  EXPECT_GE(taps[0].regions().size(), 2u) << "workers " << workers;
+  std::string witness;
+  for (size_t i = 0; i < taps.size(); ++i) {
+    witness += util::Format("tap %zu packets=%llu uid_hash=%016llx\n", i,
+                            static_cast<unsigned long long>(taps[i].packets()),
+                            static_cast<unsigned long long>(taps[i].hash()));
+  }
+  return witness;
+}
+
+TEST(ParallelMultiGatewayTest, PacketUidsAreWorkerCountInvariant) {
+  testing::ExpectDeterministicAcrossWorkerCounts(
+      "multi-gateway uids seed 42", [](int workers) { return MultiGatewayUidRun(42, workers); });
 }
 
 TEST(ParallelMultiGatewayTest, DifferentSeedsDiverge) {

@@ -152,6 +152,43 @@ TEST(SimulatorTest, StepReturnsFalseWhenEmpty) {
   EXPECT_FALSE(sim.Step());
 }
 
+TEST(SimulatorTest, UidsComeFromTheExecutingRegion) {
+  Simulator sim;
+  const RegionId edge = sim.AddRegion("edge");
+  std::vector<uint64_t> main_ids;
+  std::vector<uint64_t> edge_ids;
+  sim.Schedule(1, [&] {
+    main_ids.push_back(NextUid());
+    main_ids.push_back(NextUid());
+  });
+  sim.ScheduleInRegion(edge, 1, [&] { edge_ids.push_back(NextUid()); });
+  sim.Run();
+  // Region 0 ids are bare shard-local counters; other regions carry their
+  // id in the top 16 bits.
+  EXPECT_EQ(main_ids, (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(edge_ids, (std::vector<uint64_t>{uint64_t{edge} << 48 | 1}));
+}
+
+TEST(SimulatorTest, SetupUidsComeFromTheReservedRegionAndResetRewinds) {
+  Simulator sim;
+  const uint64_t setup = uint64_t{kSetupUidRegion} << 48;
+  EXPECT_EQ(NextUid(), setup | 1);
+  EXPECT_EQ(NextUid(), setup | 2);
+  uint64_t in_event = 0;
+  sim.Schedule(1, [&] { in_event = NextUid(); });
+  sim.Run();
+  EXPECT_EQ(in_event, 1u);
+
+  sim.Reset();
+  EXPECT_EQ(NextUid(), setup | 1);
+  sim.Schedule(1, [&] { in_event = NextUid(); });
+  sim.Run();
+  EXPECT_EQ(in_event, 1u);
+
+  Simulator fresh;
+  EXPECT_EQ(NextUid(), setup | 1);
+}
+
 TEST(TimeTest, FormatTimeRendersSeconds) {
   EXPECT_EQ(FormatTime(0), "0.000000s");
   EXPECT_EQ(FormatTime(1500000), "1.500000s");

@@ -95,22 +95,22 @@ util::Bytes FrameCompressedBlob(const util::Bytes& blob) {
 
 std::optional<util::Bytes> DecodeCompressedFrames(const util::Bytes& payload,
                                                   uint64_t* blobs_decoded) {
-  util::ByteReader r(payload);
   util::Bytes out;
-  while (r.remaining() > 0) {
-    const uint16_t len = r.ReadU16();
-    util::Bytes blob = r.ReadBytes(len);
-    if (r.failed()) {
+  size_t pos = 0;
+  while (pos < payload.size()) {
+    if (payload.size() - pos < 2) {
       return std::nullopt;
     }
-    auto plain = util::Decompress(blob);
-    if (!plain.has_value()) {
+    const size_t len = static_cast<size_t>(payload[pos]) << 8 | payload[pos + 1];
+    pos += 2;
+    // Each blob decompresses where it lies, straight onto the output.
+    if (payload.size() - pos < len || !util::DecompressAppend(payload.data() + pos, len, &out)) {
       return std::nullopt;
     }
+    pos += len;
     if (blobs_decoded != nullptr) {
       ++*blobs_decoded;
     }
-    out.insert(out.end(), plain->begin(), plain->end());
   }
   return out;
 }

@@ -52,6 +52,13 @@ inline uint32_t LoadHost32(const uint8_t* p) {
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
+// Eight-byte form, for word-at-a-time equality scans such as the LZ
+// encoder's match extension.
+inline uint64_t LoadHost64(const uint8_t* p) {
+  uint64_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
 
 class ByteWriter {
  public:

@@ -76,6 +76,36 @@ TEST(CommaLint, FixtureCorpusExactDiagnostics) {
       "src/net/bad_buffer.cc:33:7: error: 'head' points into 'pkt's payload (taken at line 31) "
       "but 'pkt' was std::move()d away at line 32; the buffer may have been reallocated or "
       "handed away [comma-buffer-lifetime]",
+      "src/net/bad_global.cc:10:10: error: namespace-scope variable 'packets_seen' is mutable "
+      "state shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
+      "src/net/bad_global.cc:11:25: error: namespace-scope variable 'scratch_pool' is mutable "
+      "state shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
+      "src/net/bad_global.cc:12:18: error: namespace-scope variable 'depth' is mutable state "
+      "shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
+      "src/net/bad_global.cc:13:13: error: namespace-scope variable 'mode_name' is mutable "
+      "state shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
+      "src/net/bad_global.cc:14:23: error: namespace-scope variable 'next_id' is mutable state "
+      "shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
+      "src/net/bad_global.cc:17:5: error: namespace-scope variable 'hidden_counter' is mutable "
+      "state shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
+      "src/net/bad_global.cc:23:14: error: static data member 'instances' is mutable state "
+      "shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
+      "src/net/bad_global.cc:29:29: error: static data member 'label_' is mutable state shared "
+      "by every simulator worker and kept across Simulator::Reset; hold it in a per-simulation "
+      "object or make it const [comma-nondeterminism-ban]",
+      "src/net/bad_global.cc:34:12: error: static data member 'instances' is mutable state "
+      "shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
+      "src/net/bad_global.cc:37:5: error: namespace-scope variable 'gauge_resets' is mutable "
+      "state shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
       "src/net/bad_restricted.cc:4:10: error: forbidden include of "
       "\"src/obs/metric_registry.h\": only the allowlisted headers of src/obs may be included "
       "from src/net [comma-include-layering]",
@@ -135,6 +165,15 @@ TEST(CommaLint, FixtureCorpusExactDiagnostics) {
       "src/proxy/bad_guarded.cc:52:10: error: field 'posted_' is guarded by 'ledger_mu_' "
       "(COMMA_GUARDED_BY) but the lock is not held on every path to this access "
       "[comma-guarded-field-flow]",
+      "src/proxy/bad_lock_order.cc:9:12: error: namespace-scope variable 'table_mu_' is mutable"
+      " state shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
+      "src/proxy/bad_lock_order.cc:10:12: error: namespace-scope variable 'row_mu_' is mutable "
+      "state shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
+      "src/proxy/bad_lock_order.cc:11:12: error: namespace-scope variable 'rogue_mu_' is "
+      "mutable state shared by every simulator worker and kept across Simulator::Reset; hold it"
+      " in a per-simulation object or make it const [comma-nondeterminism-ban]",
       "src/proxy/bad_lock_order.cc:15:37: error: acquires 'table_mu_' (rank 10) while 'row_mu_' "
       "(rank 20) is held; the DESIGN.md lock hierarchy orders acquisitions by increasing rank "
       "[comma-lock-order]",
@@ -144,8 +183,14 @@ TEST(CommaLint, FixtureCorpusExactDiagnostics) {
       "src/proxy/bad_lock_order.cc:22:54: error: declared to acquire 'table_mu_' (rank 10) "
       "while requiring 'row_mu_' (rank 20); the DESIGN.md lock hierarchy orders acquisitions "
       "by increasing rank [comma-lock-order]",
+      "src/proxy/bad_nolint.cc:5:5: error: namespace-scope variable 'grandfathered' is mutable "
+      "state shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
       "src/proxy/bad_nolint.cc:5:28: error: comma-lint suppression is missing its reason; write "
       "`NOLINT(<rule>): <why this site is exempt>` [comma-nolint-reason]",
+      "src/proxy/bad_nolint.cc:6:5: error: namespace-scope variable 'justified' is mutable "
+      "state shared by every simulator worker and kept across Simulator::Reset; hold it in a "
+      "per-simulation object or make it const [comma-nondeterminism-ban]",
       "src/reassembly/bad_http.cc:9:19: error: raw '<' on TCP sequence values 'frontier' and "
       "'seg_seq' breaks at the 2^32 wrap; use comma::tcp::SeqLt [comma-seq-raw-compare]",
       "src/reassembly/bad_http.cc:13:18: error: raw '-' on TCP sequence values 'seg_end' and "
@@ -188,6 +233,20 @@ TEST(CommaLint, FixtureCorpusExactDiagnostics) {
   };
   EXPECT_EQ(Rendered(result.findings), expected);
   EXPECT_TRUE(result.baselined.empty());
+}
+
+// The mutable-global half of nondeterminism-ban against its golden file:
+// every flagged shape in the fixture, and none of its constants, types and
+// functions.
+TEST(CommaLint, MutableGlobalsMatchGoldenFile) {
+  LintOptions opts;
+  opts.rules = {"nondeterminism-ban"};
+  opts.paths = {"src/net/bad_global.cc"};
+  std::string rendered;
+  for (const std::string& line : Rendered(RunOver(Testdata(), opts).findings)) {
+    rendered += line + "\n";
+  }
+  EXPECT_EQ(rendered, ReadFile(fs::path(Testdata()) / "golden" / "bad_global.cc.golden"));
 }
 
 // The clean fixture — sanctioned idioms only — contributes nothing.

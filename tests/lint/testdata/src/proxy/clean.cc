@@ -36,6 +36,6 @@ class Cache {
   int rows_locked_ COMMA_GUARDED_BY(row_mu_) = 0;
 };
 
-int justified = 1;  // NOLINT(comma-metric-name-style): synthetic fixture name
+const int justified = 1;  // NOLINT(comma-metric-name-style): synthetic fixture name
 
 }  // namespace fixture

@@ -1,5 +1,7 @@
 #include "src/monitor/variables.h"
 
+#include <vector>
+
 #include "src/core/host.h"
 #include "src/core/ping.h"
 #include "src/util/strings.h"
@@ -10,199 +12,152 @@ namespace {
 
 int64_t AsLong(uint64_t v) { return static_cast<int64_t>(v); }
 
+// Reads a constant LONG; serves the rows of either table.
+template <int64_t N, typename Arg>
+Value Long(Arg& /*unused*/) {
+  return Value(int64_t{N});
+}
+
+// A row of Table 6.1's host-wide groups: these answer at any index.
+struct HostVariable {
+  const char* name;
+  Value (*read)(core::Host& host);
+};
+
+const HostVariable kHostVariables[] = {
+    // --- System group ---
+    {"sysDescr", [](core::Host& h) { return Value("Comma EEM host " + h.name()); }},
+    {"sysObjectID", [](core::Host&) { return Value(std::string("1.3.6.1.4.1.0")); }},
+    // SNMP TimeTicks: hundredths of a second.
+    {"sysUpTime",
+     [](core::Host& h) {
+       return Value(AsLong(static_cast<uint64_t>(h.simulator()->Now() / 10000)));
+     }},
+    {"sysContact", [](core::Host&) { return Value(std::string("shoshin@uwaterloo.ca")); }},
+    {"sysName", [](core::Host& h) { return Value(h.name()); }},
+    {"sysLocation", [](core::Host&) { return Value(std::string("simulated")); }},
+    {"sysServices", Long<72>},  // Internet + end-to-end.
+
+    // --- IP group ---
+    {"ipInReceives", [](core::Host& h) { return Value(AsLong(h.stats().ip_in_receives)); }},
+    {"ipInHdrErrors", [](core::Host& h) { return Value(AsLong(h.stats().ip_in_hdr_errors)); }},
+    {"ipInAddrErrors", Long<0>},
+    {"ipForwDatagrams", [](core::Host& h) { return Value(AsLong(h.stats().ip_forw_datagrams)); }},
+    {"ipInUnknownProtos", Long<0>},
+    {"ipInDiscards", [](core::Host& h) { return Value(AsLong(h.stats().ip_in_discards)); }},
+    {"ipInDelivers", [](core::Host& h) { return Value(AsLong(h.stats().ip_in_delivers)); }},
+    {"ipOutRequests", [](core::Host& h) { return Value(AsLong(h.stats().ip_out_requests)); }},
+    {"ipOutDiscards", Long<0>},
+    {"ipOutNoRoutes", [](core::Host& h) { return Value(AsLong(h.stats().ip_out_no_routes)); }},
+    {"ipRoutingDiscard", Long<0>},
+
+    // --- UDP group ---
+    {"udpInDatagrams", [](core::Host& h) { return Value(AsLong(h.udp().in_datagrams())); }},
+    {"udpNoPorts", [](core::Host& h) { return Value(AsLong(h.udp().no_ports())); }},
+    {"udpInErrors", Long<0>},
+
+    // --- TCP group ---
+    {"tcpRtoAlgorithm", Long<4>},  // Van Jacobson.
+    {"tcpRtoMin", Long<500>},
+    {"tcpRtoMax", Long<64000>},
+    {"tcpMaxConn", Long<-1>},
+    {"tcpCurrEstab", [](core::Host& h) { return Value(AsLong(h.tcp().ActiveConnections())); }},
+    // Aggregate TCP counters are not tracked stack-wide; report zero rather
+    // than guessing (per-connection stats are exposed via the API instead).
+    {"tcpActiveOpens", Long<0>},
+    {"tcpPassiveOpens", Long<0>},
+    {"tcpAttemptFails", Long<0>},
+    {"tcpEstabResets", Long<0>},
+    {"tcpInSegs", Long<0>},
+    {"tcpOutSegs", Long<0>},
+    {"tcpRetransSegs", Long<0>},
+
+    // --- Interface group, host-wide part ---
+    {"ifNumbers", [](core::Host& h) { return Value(AsLong(h.InterfaceCount())); }},
+};
+
+// The interface an interface-group read is about.
+struct Interface {
+  uint32_t index;  // 1-based, as SNMP numbers interfaces.
+  const net::InterfaceStats& stats;
+  const net::Link* link;  // nullptr when the interface is unattached.
+};
+
+// Error-model drops land on the receiving side of the link.
+Value InErrors(const Interface& in) {
+  if (in.link == nullptr) {
+    return Value(int64_t{0});
+  }
+  const int side = in.link->stats(0).rx_packets >= in.stats.in_packets ? 1 : 0;
+  return Value(AsLong(in.link->stats(1 - side).drops_error));
+}
+
+// A row of Table 6.1's interface group. Get answers only for an index
+// naming one of the host's interfaces.
+struct InterfaceVariable {
+  const char* name;
+  Value (*read)(const Interface& in);
+};
+
+const InterfaceVariable kInterfaceVariables[] = {
+    {"ifIndex", [](const Interface& in) { return Value(AsLong(in.index)); }},
+    {"ifDescr",
+     [](const Interface& in) {
+       return Value(in.link != nullptr ? in.link->name() : std::string("unattached"));
+     }},
+    {"ifType", Long<6>},  // ethernetCsmacd.
+    {"ifMtu", Long<1500>},
+    {"ifSpeed",
+     [](const Interface& in) {
+       return Value(AsLong(in.link != nullptr ? in.link->config().bandwidth_bps : 0));
+     }},
+    {"ifInOctets", [](const Interface& in) { return Value(AsLong(in.stats.in_bytes)); }},
+    {"ifInUcastPkts", [](const Interface& in) { return Value(AsLong(in.stats.in_packets)); }},
+    {"ifInNUcastPkts", Long<0>},
+    {"ifInDiscards", InErrors},
+    {"ifInErrors", InErrors},
+    {"ifInUnknownProtos", Long<0>},
+    {"ifOutOctets", [](const Interface& in) { return Value(AsLong(in.stats.out_bytes)); }},
+    {"ifOutUcastPkts", [](const Interface& in) { return Value(AsLong(in.stats.out_packets)); }},
+    {"ifOutNUcastPkts", Long<0>},
+    {"ifOutDiscards",
+     [](const Interface& in) {
+       if (in.link == nullptr) {
+         return Value(int64_t{0});
+       }
+       return Value(AsLong(in.link->stats(0).drops_queue + in.link->stats(1).drops_queue));
+     }},
+    {"ifOutErrors", Long<0>},
+    {"ifOutQLen",
+     [](const Interface& in) {
+       if (in.link == nullptr) {
+         return Value(int64_t{0});
+       }
+       return Value(AsLong(in.link->QueueDepth(0) + in.link->QueueDepth(1)));
+     }},
+    // 1 = up, 2 = down (RFC 1213).
+    {"ifOperStatus",
+     [](const Interface& in) {
+       return Value(int64_t{in.link != nullptr && in.link->IsUp() ? 1 : 2});
+     }},
+};
+
 }  // namespace
 
 SnmpProvider::SnmpProvider(core::Host* host) : host_(host) {}
 
-std::vector<std::string> SnmpProvider::Names() const {
-  return {
-      // System group.
-      "sysDescr", "sysObjectID", "sysUpTime", "sysContact", "sysName", "sysLocation",
-      "sysServices",
-      // IP group.
-      "ipInReceives", "ipInHdrErrors", "ipInAddrErrors", "ipForwDatagrams",
-      "ipInUnknownProtos", "ipInDiscards", "ipInDelivers", "ipOutRequests", "ipOutDiscards",
-      "ipOutNoRoutes", "ipRoutingDiscard",
-      // UDP group.
-      "udpInDatagrams", "udpNoPorts", "udpInErrors",
-      // TCP group.
-      "tcpRtoAlgorithm", "tcpRtoMin", "tcpRtoMax", "tcpMaxConn", "tcpActiveOpens",
-      "tcpPassiveOpens", "tcpAttemptFails", "tcpEstabResets", "tcpCurrEstab", "tcpInSegs",
-      "tcpOutSegs", "tcpRetransSegs",
-      // Interface group (indexed).
-      "ifNumbers", "ifIndex", "ifDescr", "ifType", "ifMtu", "ifSpeed", "ifInOctets",
-      "ifInUcastPkts", "ifInNUcastPkts", "ifInDiscards", "ifInErrors", "ifInUnknownProtos",
-      "ifOutOctets", "ifOutUcastPkts", "ifOutNUcastPkts", "ifOutDiscards", "ifOutErrors",
-      "ifOutQLen", "ifOperStatus",
-  };
-}
-
 std::optional<Value> SnmpProvider::Get(const std::string& name, uint32_t index) {
-  const net::NodeStats& ip = host_->stats();
-
-  // --- System group ---
-  if (name == "sysDescr") {
-    return Value("Comma EEM host " + host_->name());
-  }
-  if (name == "sysObjectID") {
-    return Value(std::string("1.3.6.1.4.1.0"));
-  }
-  if (name == "sysUpTime") {
-    // SNMP TimeTicks: hundredths of a second.
-    return Value(AsLong(static_cast<uint64_t>(host_->simulator()->Now() / 10000)));
-  }
-  if (name == "sysContact") {
-    return Value(std::string("shoshin@uwaterloo.ca"));
-  }
-  if (name == "sysName") {
-    return Value(host_->name());
-  }
-  if (name == "sysLocation") {
-    return Value(std::string("simulated"));
-  }
-  if (name == "sysServices") {
-    return Value(int64_t{72});  // Internet + end-to-end.
-  }
-
-  // --- IP group ---
-  if (name == "ipInReceives") {
-    return Value(AsLong(ip.ip_in_receives));
-  }
-  if (name == "ipInHdrErrors") {
-    return Value(AsLong(ip.ip_in_hdr_errors));
-  }
-  if (name == "ipInAddrErrors") {
-    return Value(int64_t{0});
-  }
-  if (name == "ipForwDatagrams") {
-    return Value(AsLong(ip.ip_forw_datagrams));
-  }
-  if (name == "ipInUnknownProtos") {
-    return Value(int64_t{0});
-  }
-  if (name == "ipInDiscards") {
-    return Value(AsLong(ip.ip_in_discards));
-  }
-  if (name == "ipInDelivers") {
-    return Value(AsLong(ip.ip_in_delivers));
-  }
-  if (name == "ipOutRequests") {
-    return Value(AsLong(ip.ip_out_requests));
-  }
-  if (name == "ipOutDiscards") {
-    return Value(int64_t{0});
-  }
-  if (name == "ipOutNoRoutes") {
-    return Value(AsLong(ip.ip_out_no_routes));
-  }
-  if (name == "ipRoutingDiscard") {
-    return Value(int64_t{0});
-  }
-
-  // --- UDP group ---
-  if (name == "udpInDatagrams") {
-    return Value(AsLong(host_->udp().in_datagrams()));
-  }
-  if (name == "udpNoPorts") {
-    return Value(AsLong(host_->udp().no_ports()));
-  }
-  if (name == "udpInErrors") {
-    return Value(int64_t{0});
-  }
-
-  // --- TCP group ---
-  if (name == "tcpRtoAlgorithm") {
-    return Value(int64_t{4});  // Van Jacobson.
-  }
-  if (name == "tcpRtoMin") {
-    return Value(int64_t{500});
-  }
-  if (name == "tcpRtoMax") {
-    return Value(int64_t{64000});
-  }
-  if (name == "tcpMaxConn") {
-    return Value(int64_t{-1});
-  }
-  if (name == "tcpCurrEstab") {
-    return Value(AsLong(host_->tcp().ActiveConnections()));
-  }
-  if (name == "tcpActiveOpens" || name == "tcpPassiveOpens" || name == "tcpAttemptFails" ||
-      name == "tcpEstabResets" || name == "tcpInSegs" || name == "tcpOutSegs" ||
-      name == "tcpRetransSegs") {
-    // Aggregate TCP counters are not tracked stack-wide; report zero rather
-    // than guessing (per-connection stats are exposed via the API instead).
-    return Value(int64_t{0});
-  }
-
-  // --- Interface group ---
-  if (name == "ifNumbers") {
-    return Value(AsLong(host_->InterfaceCount()));
-  }
-  const bool is_if_var = util::StartsWith(name, "if");
-  if (is_if_var) {
-    // SNMP indexes interfaces from 1.
-    if (index == 0 || index > host_->InterfaceCount()) {
-      return std::nullopt;
+  for (const HostVariable& v : kHostVariables) {
+    if (name == v.name) {
+      return v.read(*host_);
     }
-    const uint32_t i = index - 1;
-    const net::InterfaceStats& st = host_->interface_stats(i);
-    net::Link* link = host_->InterfaceLink(i);
-    if (name == "ifIndex") {
-      return Value(AsLong(index));
-    }
-    if (name == "ifDescr") {
-      return Value(link != nullptr ? link->name() : std::string("unattached"));
-    }
-    if (name == "ifType") {
-      return Value(int64_t{6});  // ethernetCsmacd.
-    }
-    if (name == "ifMtu") {
-      return Value(int64_t{1500});
-    }
-    if (name == "ifSpeed") {
-      return Value(AsLong(link != nullptr ? link->config().bandwidth_bps : 0));
-    }
-    if (name == "ifInOctets") {
-      return Value(AsLong(st.in_bytes));
-    }
-    if (name == "ifInUcastPkts") {
-      return Value(AsLong(st.in_packets));
-    }
-    if (name == "ifOutOctets") {
-      return Value(AsLong(st.out_bytes));
-    }
-    if (name == "ifOutUcastPkts") {
-      return Value(AsLong(st.out_packets));
-    }
-    if (name == "ifInNUcastPkts" || name == "ifOutNUcastPkts" || name == "ifInUnknownProtos") {
-      return Value(int64_t{0});
-    }
-    if (name == "ifInDiscards" || name == "ifInErrors") {
-      // Error-model drops land on the receiving side of the link.
-      if (link != nullptr) {
-        const int side = link->stats(0).rx_packets >= st.in_packets ? 1 : 0;
-        return Value(AsLong(link->stats(1 - side).drops_error));
+  }
+  for (const InterfaceVariable& v : kInterfaceVariables) {
+    if (name == v.name) {
+      if (index == 0 || index > host_->InterfaceCount()) {
+        return std::nullopt;
       }
-      return Value(int64_t{0});
-    }
-    if (name == "ifOutDiscards") {
-      if (link != nullptr) {
-        return Value(AsLong(link->stats(0).drops_queue + link->stats(1).drops_queue));
-      }
-      return Value(int64_t{0});
-    }
-    if (name == "ifOutErrors") {
-      return Value(int64_t{0});
-    }
-    if (name == "ifOutQLen") {
-      if (link != nullptr) {
-        return Value(AsLong(link->QueueDepth(0) + link->QueueDepth(1)));
-      }
-      return Value(int64_t{0});
-    }
-    if (name == "ifOperStatus") {
-      // 1 = up, 2 = down (RFC 1213).
-      return Value(int64_t{link != nullptr && link->IsUp() ? 1 : 2});
+      return v.read({index, host_->interface_stats(index - 1), host_->InterfaceLink(index - 1)});
     }
   }
   return std::nullopt;
@@ -212,12 +167,6 @@ std::optional<Value> SnmpProvider::Get(const std::string& name, uint32_t index) 
 
 HostProvider::HostProvider(core::Host* host) : host_(host) {
   pinger_ = std::make_unique<core::Pinger>(host_, &host_->icmp_responder());
-}
-
-std::vector<std::string> HostProvider::Names() const {
-  return {"netLatency", "avgInIPPkts", "cpuLoadAvg", "ethErrsAvg",
-          "ethInAvg",   "ethOutAvg",   "deviceList", "bytes_rx",
-          "bytes_tx"};
 }
 
 void HostProvider::Poll(sim::TimePoint now) {

@@ -9,7 +9,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "src/monitor/value.h"
 #include "src/sim/time.h"
@@ -26,8 +25,6 @@ class MetricProvider {
   virtual ~MetricProvider() = default;
   // Returns the value of (name, index), or nullopt if unknown here.
   virtual std::optional<Value> Get(const std::string& name, uint32_t index) = 0;
-  // Variables this provider serves (for discovery/diagnostics).
-  virtual std::vector<std::string> Names() const = 0;
 };
 
 // Table 6.1: the SNMP variable set (system, ip, tcp, udp, interface groups),
@@ -37,7 +34,6 @@ class SnmpProvider : public MetricProvider {
  public:
   explicit SnmpProvider(core::Host* host);
   std::optional<Value> Get(const std::string& name, uint32_t index) override;
-  std::vector<std::string> Names() const override;
 
  private:
   core::Host* host_;
@@ -50,7 +46,6 @@ class HostProvider : public MetricProvider {
  public:
   explicit HostProvider(core::Host* host);
   std::optional<Value> Get(const std::string& name, uint32_t index) override;
-  std::vector<std::string> Names() const override;
 
   // Samples counters; call periodically to keep rates fresh. Also issues a
   // ping to the interface-0 neighbour so netLatency is a *measured* RTT

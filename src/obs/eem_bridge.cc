@@ -34,12 +34,4 @@ std::optional<monitor::Value> EemMetricsBridge::Get(const std::string& name, uin
   return std::nullopt;
 }
 
-std::vector<std::string> EemMetricsBridge::Names() const {
-  std::vector<std::string> names;
-  for (const MetricSample& s : registry_->Snapshot(pattern_)) {
-    names.push_back(s.name);
-  }
-  return names;
-}
-
 }  // namespace comma::obs

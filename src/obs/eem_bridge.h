@@ -18,7 +18,6 @@
 #define COMMA_OBS_EEM_BRIDGE_H_
 
 #include <string>
-#include <vector>
 
 #include "src/monitor/variables.h"
 #include "src/obs/metric_registry.h"
@@ -33,7 +32,6 @@ class EemMetricsBridge : public monitor::MetricProvider {
   explicit EemMetricsBridge(const MetricRegistry* registry, std::string pattern = "");
 
   std::optional<monitor::Value> Get(const std::string& name, uint32_t index) override;
-  std::vector<std::string> Names() const override;
 
  private:
   const MetricRegistry* registry_;

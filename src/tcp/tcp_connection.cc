@@ -1,6 +1,7 @@
 #include "src/tcp/tcp_connection.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "src/tcp/tcp_stack.h"
 #include "src/util/check.h"
@@ -9,31 +10,14 @@
 namespace comma::tcp {
 
 const char* TcpStateName(TcpState s) {
-  switch (s) {
-    case TcpState::kClosed:
-      return "CLOSED";
-    case TcpState::kListen:
-      return "LISTEN";
-    case TcpState::kSynSent:
-      return "SYN_SENT";
-    case TcpState::kSynReceived:
-      return "SYN_RCVD";
-    case TcpState::kEstablished:
-      return "ESTABLISHED";
-    case TcpState::kFinWait1:
-      return "FIN_WAIT_1";
-    case TcpState::kFinWait2:
-      return "FIN_WAIT_2";
-    case TcpState::kCloseWait:
-      return "CLOSE_WAIT";
-    case TcpState::kClosing:
-      return "CLOSING";
-    case TcpState::kLastAck:
-      return "LAST_ACK";
-    case TcpState::kTimeWait:
-      return "TIME_WAIT";
-  }
-  return "?";
+  // Indexed by TcpState, in its declaration order.
+  static constexpr const char* kNames[] = {
+      "CLOSED",     "LISTEN",     "SYN_SENT", "SYN_RCVD", "ESTABLISHED", "FIN_WAIT_1",
+      "FIN_WAIT_2", "CLOSE_WAIT", "CLOSING",  "LAST_ACK", "TIME_WAIT",
+  };
+  static_assert(std::size(kNames) == static_cast<size_t>(TcpState::kTimeWait) + 1);
+  const auto i = static_cast<size_t>(s);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 TcpConnection::TcpConnection(TcpStack* stack, net::Ipv4Address local_addr, uint16_t local_port,

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "src/apps/bulk.h"
 #include "src/core/comma_system.h"
 #include "src/util/strings.h"
@@ -53,10 +51,6 @@ TEST(ObsBridgeTest, PatternRestrictsExportedNames) {
   EXPECT_FALSE(bridge.Get("tcp.retransmits", 0).has_value());
   // Histogram sub-fields pass the check via their parent's name.
   EXPECT_TRUE(bridge.Get("sp.queue_us.mean", 0).has_value());
-
-  auto names = bridge.Names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "sp.packets"), names.end());
-  EXPECT_EQ(std::find(names.begin(), names.end(), "tcp.retransmits"), names.end());
 }
 
 TEST(ObsBridgeTest, SystemEemServerServesProxyMetrics) {

@@ -41,9 +41,6 @@ BulkSink::BulkSink(core::Host* host, uint16_t port, const tcp::TcpConfig& config
         conn->set_on_remote_close([this, conn] {
           conn->Close();
           closed_ = true;
-          if (on_complete_) {
-            on_complete_();
-          }
         });
       },
       config);

@@ -26,8 +26,6 @@ class BulkSink {
   sim::TimePoint first_byte_at() const { return first_byte_at_; }
   sim::TimePoint last_byte_at() const { return last_byte_at_; }
 
-  void set_on_complete(std::function<void()> cb) { on_complete_ = std::move(cb); }
-
  private:
   core::Host* host_;
   tcp::TcpConnection* conn_ = nullptr;
@@ -35,7 +33,6 @@ class BulkSink {
   bool closed_ = false;
   sim::TimePoint first_byte_at_ = 0;
   sim::TimePoint last_byte_at_ = 0;
-  std::function<void()> on_complete_;
 };
 
 // Connects and pushes `payload` as fast as the send buffer allows, then

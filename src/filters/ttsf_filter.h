@@ -172,7 +172,6 @@ class TtsfFilter : public proxy::Filter {
                                     util::Bytes transform);
   // Releases any held packets that are now in order, re-injecting them.
   void ReleaseHeld(proxy::FilterContext& ctx, const proxy::StreamKey& key, DirState& st);
-  void RemapAck(net::Packet& packet, DirState& data_dir);
   uint32_t MapAckToOrig(const DirState& st, uint32_t ack_out) const;
   void AppendRecord(DirState& st, Record rec);
   void PruneAcked(DirState& st);

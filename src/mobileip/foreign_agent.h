@@ -36,7 +36,6 @@ class ForeignAgent {
   ForeignAgent(core::Host* router, uint32_t wireless_iface,
                HandoffPolicy policy = HandoffPolicy::kDrop);
 
-  void set_policy(HandoffPolicy policy) { policy_ = policy; }
   net::Ipv4Address care_of_address() const { return router_->PrimaryAddress(); }
   bool IsVisiting(net::Ipv4Address home_address) const {
     return visitors_.count(home_address) != 0;

@@ -16,11 +16,6 @@ void HomeAgent::AddMobile(net::Ipv4Address home_address) {
   bindings_.emplace(home_address, Binding{});
 }
 
-net::Ipv4Address HomeAgent::CareOfAddress(net::Ipv4Address home_address) const {
-  auto it = bindings_.find(home_address);
-  return it == bindings_.end() ? net::Ipv4Address() : it->second.care_of;
-}
-
 bool HomeAgent::IsRegisteredAway(net::Ipv4Address home_address) const {
   auto it = bindings_.find(home_address);
   if (it == bindings_.end() || it->second.care_of.IsUnspecified()) {

@@ -33,8 +33,6 @@ class HomeAgent : public net::PacketTap {
   // Declares `home_address` as a mobile this HA is responsible for.
   void AddMobile(net::Ipv4Address home_address);
 
-  // Current care-of address for a mobile (unspecified if at home).
-  net::Ipv4Address CareOfAddress(net::Ipv4Address home_address) const;
   bool IsRegisteredAway(net::Ipv4Address home_address) const;
 
   const HomeAgentStats& stats() const { return stats_; }

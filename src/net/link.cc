@@ -116,30 +116,12 @@ void Link::SetBandwidth(uint64_t bps) {
   ApplyPerSide([this, bps](int side) { sides_[side].config.bandwidth_bps = bps ? bps : 1; });
 }
 
-void Link::SetPropagationDelay(sim::Duration d) {
-  if (cross_region()) {
-    // The registered edge lookahead is a standing safety promise; the delay
-    // may grow but never sink below it.
-    COMMA_CHECK(d >= sim_->EdgeLookahead(sides_[0].region, sides_[1].region))
-        << "propagation delay " << d << " below registered lookahead on " << name_;
-  }
-  ApplyPerSide([this, d](int side) { sides_[side].config.propagation_delay = d; });
-}
-
 void Link::SetLossProbability(double p) {
   ApplyPerSide([this, p](int side) { sides_[side].config.loss_probability = p; });
 }
 
-void Link::SetBitErrorRate(double ber) {
-  ApplyPerSide([this, ber](int side) { sides_[side].config.bit_error_rate = ber; });
-}
-
 void Link::SetCorruptProbability(double p) {
   ApplyPerSide([this, p](int side) { sides_[side].config.corrupt_probability = p; });
-}
-
-void Link::SetQueueLimit(size_t packets) {
-  ApplyPerSide([this, packets](int side) { sides_[side].config.queue_limit_packets = packets; });
 }
 
 void Link::SetUp(bool up) {

@@ -2,9 +2,9 @@
 // queues, loss models, and runtime-variable QoS.
 //
 // The wireless variability the thesis is about (§2.3) is modelled here: a
-// link's bandwidth, delay, loss probability, bit-error rate, and up/down
-// state can all change while the simulation runs, and the EEM reads the
-// per-side counters this class maintains.
+// link's bandwidth, loss and corruption probabilities, and up/down state can
+// all change while the simulation runs, and the EEM reads the per-side
+// counters this class maintains.
 //
 // Concurrency (DESIGN.md §7, docs/parallel-sim.md): link state is held
 // per side, and each side belongs to the region of its attached node
@@ -88,11 +88,8 @@ class Link {
   // cross-region link the caller's side changes now and the remote side one
   // edge-lookahead later (the partition is honest about propagation).
   void SetBandwidth(uint64_t bps);
-  void SetPropagationDelay(sim::Duration d);
   void SetLossProbability(double p);
-  void SetBitErrorRate(double ber);
   void SetCorruptProbability(double p);
-  void SetQueueLimit(size_t packets);
   // Taking a link down drops everything in flight (a mobile moving out of
   // range loses whatever was in the air).
   void SetUp(bool up);

@@ -1,7 +1,5 @@
 #include "src/net/trace_tap.h"
 
-#include <cstdio>
-
 #include "src/obs/counter.h"
 #include "src/util/strings.h"
 
@@ -58,9 +56,6 @@ TapVerdict TraceTap::OnPacket(PacketPtr& packet, const TapContext& ctx) {
   if (captured_packets_ != nullptr) {
     captured_packets_->Inc();
     captured_bytes_->Inc(rec.payload_bytes);
-  }
-  if (live_) {
-    std::fprintf(stderr, "%s\n", rec.Summary().c_str());
   }
   records_.push_back(std::move(rec));
   return TapVerdict::kPass;

@@ -61,9 +61,6 @@ class TraceTap : public PacketTap {
   // Renders the whole capture, one line per packet.
   std::string Dump() const;
 
-  // Mirror every capture line to stderr as it happens.
-  void set_live(bool live) { live_ = live; }
-
   // Optional registry handles ("trace.captured_packets" / ".captured_bytes",
   // docs/observability.md). Raw counter pointers, not a registry: the net
   // layer sits below comma_obs in the layer DAG, and src/obs/counter.h is
@@ -77,7 +74,6 @@ class TraceTap : public PacketTap {
   Node* node_;
   Filter filter_;
   std::vector<CaptureRecord> records_;
-  bool live_ = false;
   obs::Counter* captured_packets_ = nullptr;
   obs::Counter* captured_bytes_ = nullptr;
 };

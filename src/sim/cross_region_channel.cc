@@ -7,7 +7,6 @@ namespace comma::sim {
 void CrossRegionChannel::Push(TimePoint when, std::function<void()> fn) {
   std::lock_guard<std::mutex> lock(channel_mu_);
   arrivals_.push_back({when, std::move(fn)});
-  ++total_pushed_;
 }
 
 std::vector<CrossRegionChannel::Arrival> CrossRegionChannel::DrainAll() {
@@ -15,11 +14,6 @@ std::vector<CrossRegionChannel::Arrival> CrossRegionChannel::DrainAll() {
   std::vector<Arrival> out;
   out.swap(arrivals_);
   return out;
-}
-
-uint64_t CrossRegionChannel::TotalPushed() const {
-  std::lock_guard<std::mutex> lock(channel_mu_);
-  return total_pushed_;
 }
 
 void CrossRegionChannel::Clear() {

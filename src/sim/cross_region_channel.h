@@ -38,15 +38,11 @@ class CrossRegionChannel {
   // Removes and returns every queued arrival, in push order.
   std::vector<Arrival> DrainAll() COMMA_EXCLUDES(channel_mu_);
 
-  // Lifetime count of arrivals pushed (read at barriers, for sim.* metrics).
-  uint64_t TotalPushed() const COMMA_EXCLUDES(channel_mu_);
-
   void Clear() COMMA_EXCLUDES(channel_mu_);
 
  private:
-  mutable std::mutex channel_mu_;
+  std::mutex channel_mu_;
   std::vector<Arrival> arrivals_ COMMA_GUARDED_BY(channel_mu_);
-  uint64_t total_pushed_ COMMA_GUARDED_BY(channel_mu_) = 0;
 };
 
 }  // namespace comma::sim

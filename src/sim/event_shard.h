@@ -59,7 +59,6 @@ class EventShard {
 
   // --- Timer bookkeeping (counters are the low 32 bits of a TimerId) ---
   uint32_t NextTimerCounter() { return next_timer_counter_++; }
-  uint32_t PeekTimerCounter() const { return next_timer_counter_; }
   void AddPendingTimer(uint32_t counter) { pending_timers_.push_back(counter); }
   bool ErasePendingTimer(uint32_t counter);
   bool IsTimerPending(uint32_t counter) const;

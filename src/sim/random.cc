@@ -74,8 +74,6 @@ double Random::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double Random::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
-
 int64_t Random::UniformInt(int64_t lo, int64_t hi) {
   if (hi <= lo) {
     return lo;

@@ -28,9 +28,6 @@ class Random {
   // Exponentially distributed value with the given mean (>= 0).
   double Exponential(double mean);
 
-  // Uniform double in [lo, hi).
-  double Uniform(double lo, double hi);
-
   // Uniform integer in [lo, hi] inclusive.
   int64_t UniformInt(int64_t lo, int64_t hi);
 

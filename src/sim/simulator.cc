@@ -400,9 +400,4 @@ uint64_t Simulator::EventsRun() const {
   return total;
 }
 
-uint64_t Simulator::RegionEventsRun(RegionId id) const {
-  COMMA_CHECK(id < shards_.size()) << "unknown region " << id;
-  return shards_[id]->events_run();
-}
-
 }  // namespace comma::sim

@@ -103,7 +103,6 @@ class Simulator {
   bool InEvent() const { return ExecutingShardHere() != nullptr; }
 
   const SimulatorOptions& options() const { return options_; }
-  void set_options(const SimulatorOptions& options) { options_ = options; }
 
   // --- Clock & scheduling ---
 
@@ -170,10 +169,6 @@ class Simulator {
 
   // Total events executed since construction (or the last Reset).
   uint64_t EventsRun() const;
-
-  // Events executed by one region's shard; the per-region breakdown of
-  // EventsRun(). Deterministic, and the direct measure of shard balance.
-  uint64_t RegionEventsRun(RegionId id) const;
 
   // Epoch-loop telemetry (sim.* metrics; docs/parallel-sim.md). epochs()
   // and cross_region_events() are deterministic; barrier_wait_us() is

@@ -59,11 +59,4 @@ void Tracer::Logf(TraceLevel level, const std::string& component, const char* fm
   Log(level, component, msg);
 }
 
-Tracer::Sink Tracer::StderrSink() {
-  return [](const TraceRecord& rec) {
-    std::fprintf(stderr, "t=%s [%s] %s: %s\n", FormatTime(rec.when).c_str(),
-                 TraceLevelName(rec.level), rec.component.c_str(), rec.message.c_str());
-  };
-}
-
 }  // namespace comma::sim

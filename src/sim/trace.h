@@ -52,9 +52,6 @@ class Tracer {
   void Logf(TraceLevel level, const std::string& component, const char* fmt, ...)
       __attribute__((format(printf, 4, 5)));
 
-  // A sink that writes "t=1.000000s [level] component: message" to stderr.
-  static Sink StderrSink();
-
  private:
   const Simulator* sim_;
   Sink sink_;

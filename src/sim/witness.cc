@@ -1,67 +1,6 @@
 #include "src/sim/witness.h"
 
-#include <algorithm>
-
-#include "src/util/check.h"
-#include "src/util/strings.h"
-
 namespace comma::sim {
-
-WitnessLog::WitnessLog(const Simulator* sim) : sim_(sim), per_region_(sim->RegionCount()) {}
-
-void WitnessLog::Append(TimePoint when, std::string line) {
-  const RegionId region = sim_->CurrentRegion();
-  COMMA_CHECK(region < per_region_.size()) << "witness region " << region << " out of range";
-  per_region_[region].push_back({when, std::move(line)});
-}
-
-Tracer::Sink WitnessLog::MakeTraceSink() {
-  return [this](const TraceRecord& rec) {
-    Append(rec.when, util::Format("t=%lld [%s] %s: %s", static_cast<long long>(rec.when),
-                                  TraceLevelName(rec.level), rec.component.c_str(),
-                                  rec.message.c_str()));
-  };
-}
-
-std::string WitnessLog::Render() const {
-  // Each region buffer is already in execution order (monotone in `when`);
-  // a k-way merge by (when, region) reproduces the canonical total order.
-  std::vector<size_t> cursor(per_region_.size(), 0);
-  std::string out;
-  for (;;) {
-    size_t best = per_region_.size();
-    for (size_t r = 0; r < per_region_.size(); ++r) {
-      if (cursor[r] >= per_region_[r].size()) {
-        continue;
-      }
-      if (best == per_region_.size() ||
-          per_region_[r][cursor[r]].when < per_region_[best][cursor[best]].when) {
-        best = r;
-      }
-    }
-    if (best == per_region_.size()) {
-      break;
-    }
-    out += per_region_[best][cursor[best]].line;
-    out += '\n';
-    ++cursor[best];
-  }
-  return out;
-}
-
-size_t WitnessLog::EntryCount() const {
-  size_t n = 0;
-  for (const auto& entries : per_region_) {
-    n += entries.size();
-  }
-  return n;
-}
-
-void WitnessLog::Clear() {
-  for (auto& entries : per_region_) {
-    entries.clear();
-  }
-}
 
 uint64_t WitnessHash(const std::string& bytes) {
   uint64_t h = 0xcbf29ce484222325ULL;

@@ -1,55 +1,13 @@
-// Determinism witnesses for partitioned runs (docs/parallel-sim.md).
-//
-// A WitnessLog collects timestamped lines — trace records, fault events,
-// application milestones — into per-region buffers (one writer per region;
-// no locks) and renders them in the canonical (when, region, intra-region
-// order) total order. Because that order is exactly the simulator's
-// deterministic event order, a rendered witness is byte-identical for any
-// worker count; the differential harness and bench_parallel compare runs
-// through it.
+// Determinism witnesses (docs/parallel-sim.md): runs render what they
+// observed as text, and the text's hash is the fingerprint that must match
+// across worker counts and between a change and its parent.
 #ifndef COMMA_SIM_WITNESS_H_
 #define COMMA_SIM_WITNESS_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
-
-#include "src/sim/simulator.h"
-#include "src/sim/trace.h"
 
 namespace comma::sim {
-
-class WitnessLog {
- public:
-  // Construct after the simulator's region topology is final: the log
-  // pre-sizes one buffer per region so concurrent appends never reallocate
-  // shared state.
-  explicit WitnessLog(const Simulator* sim);
-  WitnessLog(const WitnessLog&) = delete;
-  WitnessLog& operator=(const WitnessLog&) = delete;
-
-  // Appends `line` at `when` to the calling context's region buffer.
-  void Append(TimePoint when, std::string line);
-
-  // A Tracer sink that records "t=<usec> [level] component: message".
-  Tracer::Sink MakeTraceSink();
-
-  // The canonical merged witness: one line per entry, '\n'-terminated,
-  // ordered by (when, region, append order).
-  std::string Render() const;
-
-  size_t EntryCount() const;
-  void Clear();
-
- private:
-  struct Entry {
-    TimePoint when = 0;
-    std::string line;
-  };
-
-  const Simulator* sim_;
-  std::vector<std::vector<Entry>> per_region_;
-};
 
 // FNV-1a 64-bit over the bytes (witness fingerprints in bench output).
 uint64_t WitnessHash(const std::string& bytes);

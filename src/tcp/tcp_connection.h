@@ -140,7 +140,6 @@ class TcpConnection {
 
   // Segment processing.
   void HandleSynSent(const net::Packet& p);
-  void HandleListenStates(const net::Packet& p);
   void ProcessAck(const net::Packet& p);
   void ProcessPayload(const net::Packet& p);
   void ProcessFin(const net::Packet& p);

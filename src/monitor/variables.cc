@@ -78,18 +78,21 @@ const HostVariable kHostVariables[] = {
 
 // The interface an interface-group read is about.
 struct Interface {
+  const net::Node* host;
   uint32_t index;  // 1-based, as SNMP numbers interfaces.
   const net::InterfaceStats& stats;
   const net::Link* link;  // nullptr when the interface is unattached.
 };
 
-// Error-model drops land on the receiving side of the link.
+// Inbound packets the link lost on their way to this interface. The loss
+// model counts a lost packet on the side that sent it: the far side.
 Value InErrors(const Interface& in) {
   if (in.link == nullptr) {
     return Value(int64_t{0});
   }
-  const int side = in.link->stats(0).rx_packets >= in.stats.in_packets ? 1 : 0;
-  return Value(AsLong(in.link->stats(1 - side).drops_error));
+  const bool near_is_0 =
+      in.link->attached_node(0) == in.host && in.link->attached_iface(0) == in.index - 1;
+  return Value(AsLong(in.link->stats(near_is_0 ? 1 : 0).drops_error));
 }
 
 // A row of Table 6.1's interface group. Get answers only for an index
@@ -157,7 +160,8 @@ std::optional<Value> SnmpProvider::Get(const std::string& name, uint32_t index) 
       if (index == 0 || index > host_->InterfaceCount()) {
         return std::nullopt;
       }
-      return v.read({index, host_->interface_stats(index - 1), host_->InterfaceLink(index - 1)});
+      return v.read(
+          {host_, index, host_->interface_stats(index - 1), host_->InterfaceLink(index - 1)});
     }
   }
   return std::nullopt;

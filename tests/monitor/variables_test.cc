@@ -109,9 +109,43 @@ TEST(EemVariablesTest, EemVariablesArePinned) {
   ASSERT_EQ(down_sink.bytes_received(), 300'000u);
   ASSERT_EQ(up_sink.bytes_received(), 120'000u);
 
-  constexpr uint64_t kPinned = 0x29554d75699c3c86ULL;
+  constexpr uint64_t kPinned = 0x2112456056dd22a8ULL;
   const uint64_t hash = sim::WitnessHash(text);
   EXPECT_EQ(hash, kPinned) << "hash 0x" << std::hex << hash << "\n" << text;
+}
+
+// RFC 1213's ifInErrors counts inbound packets lost in error. The loss
+// model charges a lost packet to the side that sent it, so each end of the
+// wireless link must report the other side's drops, not its own.
+TEST(EemVariablesTest, IfInErrorsCountsTheFarSidesLosses) {
+  core::ScenarioConfig cfg;
+  cfg.seed = 7;
+  cfg.wireless.loss_probability = 0.05;
+  core::WirelessScenario s(cfg);
+  apps::BulkSink down_sink(&s.mobile_host(), 5001);
+  apps::BulkSink up_sink(&s.wired_host(), 5002);
+  apps::BulkSender down(&s.wired_host(), s.mobile_addr(), 5001, apps::PatternPayload(300'000));
+  apps::BulkSender up(&s.mobile_host(), s.wired_addr(), 5002, apps::PatternPayload(100'000));
+  s.sim().RunFor(30 * sim::kSecond);
+  ASSERT_TRUE(down.finished());
+  ASSERT_TRUE(up.finished());
+
+  const net::Link& link = s.wireless_link();
+  const int gateway_side = link.attached_node(0) == &s.gateway() ? 0 : 1;
+  const int64_t lost_by_gateway = static_cast<int64_t>(link.stats(gateway_side).drops_error);
+  const int64_t lost_by_mobile = static_cast<int64_t>(link.stats(1 - gateway_side).drops_error);
+  ASSERT_GT(lost_by_gateway, 0);
+  ASSERT_GT(lost_by_mobile, 0);
+  ASSERT_NE(lost_by_gateway, lost_by_mobile);
+
+  SnmpProvider gateway(&s.gateway());
+  SnmpProvider mobile(&s.mobile_host());
+  for (const char* name : {"ifInErrors", "ifInDiscards"}) {
+    EXPECT_EQ(gateway.Get(name, 2), Value(lost_by_mobile)) << name;
+    EXPECT_EQ(mobile.Get(name, 1), Value(lost_by_gateway)) << name;
+    // The wired link loses nothing.
+    EXPECT_EQ(gateway.Get(name, 1), Value(int64_t{0})) << name;
+  }
 }
 
 }  // namespace

@@ -19,11 +19,25 @@ using tcp::SeqLeq;
 using tcp::SeqLt;
 using tcp::SeqMax;
 
+namespace {
+
+// Moves one instance's part of a gauge shared by several from *published
+// to `share`.
+void MoveGaugeShare(obs::Gauge* gauge, size_t share, size_t* published) {
+  gauge->Set(gauge->Read() + static_cast<double>(share) - static_cast<double>(*published));
+  *published = share;
+}
+
+}  // namespace
+
 TtsfFilter::TtsfFilter()
     : Filter("ttsf", proxy::FilterPriority::kNormal),
       auditor_(std::make_unique<SeqSpaceAuditor>()) {}
 
-TtsfFilter::~TtsfFilter() = default;
+TtsfFilter::~TtsfFilter() {
+  MoveGaugeShare(obs_.offset_map_entries, 0, &published_records_);
+  MoveGaugeShare(obs_.held_packets, 0, &published_held_);
+}
 
 void TtsfFilter::AuditKey(const proxy::StreamKey& key) {
   if (auto it = dirs_.find(key); it != dirs_.end()) {
@@ -96,8 +110,8 @@ void TtsfFilter::PublishObs() {
     records += st.records.size();
     held += st.held.size();
   }
-  obs_.offset_map_entries->Set(static_cast<double>(records));
-  obs_.held_packets->Set(static_cast<double>(held));
+  MoveGaugeShare(obs_.offset_map_entries, records, &published_records_);
+  MoveGaugeShare(obs_.held_packets, held, &published_held_);
 }
 
 void TtsfFilter::In(proxy::FilterContext&, const proxy::StreamKey&, const net::Packet&) {}

@@ -215,6 +215,10 @@ class TtsfFilter : public proxy::Filter {
   std::map<uint64_t, util::Bytes> pending_;  // uid -> submitted payload.
   TtsfStats stats_;
   TtsfStats published_;  // Counter values already pushed to the registry.
+  // This instance's part of the map-size gauges, which every TTSF on the
+  // proxy shares: they read the sum over the live instances.
+  size_t published_records_ = 0;
+  size_t published_held_ = 0;
   TtsfObs obs_;
   std::string bypass_reason_;  // First reason; empty while healthy.
   std::unique_ptr<SeqSpaceAuditor> auditor_;

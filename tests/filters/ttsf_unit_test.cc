@@ -317,5 +317,47 @@ TEST_F(TtsfUnitTest, StatsTrackBytesInAndOut) {
   EXPECT_EQ(ttsf_->stats().segments_dropped, 1u);
 }
 
+// Every TTSF on a proxy shares ttsf.offset_map_entries and
+// ttsf.held_packets: they read the sum over the live instances, and an
+// instance's part leaves with it.
+TEST_F(TtsfUnitTest, MapGaugesSumOverInstances) {
+  const auto gauges = [this] {
+    return std::pair{sp_->metrics().Read("ttsf.offset_map_entries").value_or(-1.0),
+                     sp_->metrics().Read("ttsf.held_packets").value_or(-1.0)};
+  };
+  plan_.by_seq[kData] = {Plan::Action::kReplace, Fill(40, 9)};
+  plan_.by_seq[kData + 100] = {Plan::Action::kReplace, Fill(40, 9)};
+  // The fixture's stream: two transformed segments at the frontier, then
+  // one beyond a gap.
+  FeedForward(MakeSegment(kData, Fill(100, 1)));
+  FeedForward(MakeSegment(kData + 100, Fill(100, 2)));
+  FeedForward(MakeSegment(kData + 300, Fill(100, 4)));
+  EXPECT_EQ(gauges(), std::pair(2.0, 1.0));
+
+  // A second stream, from client port 8, with its own TTSF: one segment at
+  // the frontier, two beyond the gap.
+  const StreamKey other{scenario_->wired_addr(), 8, scenario_->mobile_addr(), 80};
+  std::string error;
+  ASSERT_TRUE(sp_->AddService("ttsf", other, {}, &error)) << error;
+  ASSERT_TRUE(sp_->AddService("scripted", other, {}, &error)) << error;
+  const auto feed_other = [this](uint32_t seq, util::Bytes payload, uint8_t flags) {
+    net::PacketPtr p = MakeSegment(seq, std::move(payload), flags);
+    p->tcp().src_port = 8;
+    FeedForward(std::move(p));
+  };
+  feed_other(kIss, {}, net::kTcpSyn);
+  feed_other(kData, Fill(100, 1), net::kTcpAck);
+  feed_other(kData + 200, Fill(100, 3), net::kTcpAck);
+  feed_other(kData + 300, Fill(100, 4), net::kTcpAck);
+  EXPECT_EQ(gauges(), std::pair(3.0, 3.0));
+
+  sp_->RemoveStream(other);
+  sp_->RemoveStream(other.Reversed());
+  EXPECT_EQ(gauges(), std::pair(2.0, 1.0));
+  sp_->RemoveStream(key_);
+  sp_->RemoveStream(key_.Reversed());
+  EXPECT_EQ(gauges(), std::pair(0.0, 0.0));
+}
+
 }  // namespace
 }  // namespace comma::filters

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/filters/transform_filters.h"
 #include "src/filters/ttsf_filter.h"
 #include "src/proxy/filter_state.h"
 #include "src/proxy/service_proxy.h"
@@ -497,8 +496,14 @@ void HtypeFilter::ConsumeBody(const util::Bytes& data, size_t* idx, util::Bytes*
       break;
     }
     case BodyMode::kText: {
-      util::Bytes piece(begin, end);
-      EmitChunk(FrameCompressedBlob(util::Compress(piece, util::Codec::kLz)), out);
+      // One chunk holding one FrameCompressedBlob frame, compressed from
+      // where the piece lies and written straight into the output.
+      const util::Bytes blob = util::Compress(data.data() + *idx, n, util::Codec::kLz);
+      AppendString(out, util::Format("%zx\r\n", blob.size() + 2));
+      util::ByteWriter w(out);
+      w.WriteU16(static_cast<uint16_t>(blob.size()));
+      w.WriteBytes(blob);
+      AppendString(out, "\r\n");
       break;
     }
     case BodyMode::kMedia: {

@@ -74,18 +74,18 @@ void WriteHeader(Bytes* out, Codec codec, uint32_t original_len, uint16_t checks
 // can only grow, so the stored fallback wins.
 
 // Token stream: (count, byte) pairs, count in [1, 255].
-bool RleCompress(const Bytes& input, size_t out_limit, Bytes* out) {
+bool RleCompress(const uint8_t* in, size_t n, size_t out_limit, Bytes* out) {
   size_t i = 0;
-  while (i < input.size()) {
+  while (i < n) {
     size_t run = 1;
-    while (i + run < input.size() && input[i + run] == input[i] && run < 255) {
+    while (i + run < n && in[i + run] == in[i] && run < 255) {
       ++run;
     }
     if (out->size() + 2 >= out_limit) {
       return false;
     }
     out->push_back(static_cast<uint8_t>(run));
-    out->push_back(input[i]);
+    out->push_back(in[i]);
     i += run;
   }
   return true;
@@ -143,8 +143,7 @@ size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t limit) {
 //   0x01 len off_hi off_lo : match of `len` bytes at distance `off`
 // Greedy: at each position the longest match among the 16 newest
 // candidates with the same 4-byte hash wins, the nearest on a tie.
-bool LzCompress(const Bytes& input, size_t out_limit, Bytes* out) {
-  const size_t n = input.size();
+bool LzCompress(const uint8_t* in, size_t n, size_t out_limit, Bytes* out) {
   if (n >= std::numeric_limits<uint32_t>::max()) {
     return false;  // Past the header's u32 length field.
   }
@@ -155,7 +154,6 @@ bool LzCompress(const Bytes& input, size_t out_limit, Bytes* out) {
   }
   const uint32_t base = s.base;
   s.base += static_cast<uint32_t>(n);
-  const uint8_t* in = input.data();
 
   // ((b0 * 131 + b1) * 131 + b2) * 131 + b3 over the 4 bytes at `pos`,
   // mod 2^32, multiplied out so the products do not wait on each other.
@@ -298,20 +296,19 @@ bool LzDecompress(const uint8_t* p, const uint8_t* end, uint8_t* dst, size_t ori
 
 }  // namespace
 
-Bytes Compress(const Bytes& input, Codec codec) {
-  const size_t n = input.size();
+Bytes Compress(const uint8_t* data, size_t n, Codec codec) {
   Bytes out;
   out.reserve(kHeaderSize + n);
-  WriteHeader(&out, codec, static_cast<uint32_t>(n), Fletcher16(input.data(), n));
+  WriteHeader(&out, codec, static_cast<uint32_t>(n), Fletcher16(data, n));
   // The compressed body must come out shorter than the input.
   const size_t out_limit = kHeaderSize + n;
   bool compressed = false;
   switch (codec) {
     case Codec::kRle:
-      compressed = RleCompress(input, out_limit, &out);
+      compressed = RleCompress(data, n, out_limit, &out);
       break;
     case Codec::kLz:
-      compressed = LzCompress(input, out_limit, &out);
+      compressed = LzCompress(data, n, out_limit, &out);
       break;
     case Codec::kStored:
       break;
@@ -319,9 +316,13 @@ Bytes Compress(const Bytes& input, Codec codec) {
   if (!compressed || out.size() >= out_limit) {
     out.resize(kHeaderSize);
     out[1] = static_cast<uint8_t>(Codec::kStored);
-    out.insert(out.end(), input.begin(), input.end());
+    out.insert(out.end(), data, data + n);
   }
   return out;
+}
+
+Bytes Compress(const Bytes& input, Codec codec) {
+  return Compress(input.data(), input.size(), codec);
 }
 
 bool DecompressAppend(const uint8_t* data, size_t len, Bytes* out) {

@@ -26,8 +26,9 @@ enum class Codec : uint8_t {
   kLz = 2,
 };
 
-// Compresses `input` with the requested codec (falling back to kStored when
-// that is smaller). Never fails.
+// Compresses the `n` bytes at `data` with the requested codec (falling back
+// to kStored when that is smaller). Never fails.
+Bytes Compress(const uint8_t* data, size_t n, Codec codec);
 Bytes Compress(const Bytes& input, Codec codec);
 
 // Decompresses the blob at [data, data + len), as produced by Compress(),

@@ -13,13 +13,13 @@ class Random {
  public:
   explicit Random(uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  // Uniform 64-bit value.
+  // A uniform 64-bit value.
   uint64_t NextU64();
 
-  // Uniform value in [0, bound). bound == 0 returns 0.
+  // A uniform value in [0, bound). bound == 0 returns 0.
   uint64_t NextBelow(uint64_t bound);
 
-  // Uniform double in [0, 1).
+  // A uniform double in [0, 1).
   double NextDouble();
 
   // True with probability p (clamped to [0, 1]).
@@ -28,7 +28,7 @@ class Random {
   // Exponentially distributed value with the given mean (>= 0).
   double Exponential(double mean);
 
-  // Uniform integer in [lo, hi] inclusive.
+  // A uniform integer in [lo, hi] inclusive.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
   // Derives an independent child generator (for per-link streams).
